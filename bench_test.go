@@ -114,18 +114,32 @@ func BenchmarkThresholdSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkExactSimSample draws one exact-sim job execution per op: at
+// W = 100, util 0.2, and at the served operating point (J 1000, W 10, O 10,
+// util 0.1) that the exact-backend answers of the service run at.
 func BenchmarkExactSimSample(b *testing.B) {
-	p, err := feasim.ParamsFromUtilization(1000, 100, 10, 0.2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := sim.NewExact(p, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.Sample()
+	for _, c := range []struct {
+		name string
+		w    int
+		util float64
+	}{
+		{"W100_util0.2", 100, 0.2},
+		{"served", 10, 0.1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := feasim.ParamsFromUtilization(1000, c.w, 10, c.util)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x, err := sim.NewExact(p, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = x.Sample()
+			}
+		})
 	}
 }
 

@@ -238,6 +238,25 @@ func TestCmdQuery(t *testing.T) {
 	}
 }
 
+// TestCmdQueryUnreachableTarget: `feasim query -json` on a report whose
+// target no task ratio reaches prints feasible: false without a
+// prescription, for a homogeneous scenario and a fleet.
+func TestCmdQueryUnreachableTarget(t *testing.T) {
+	for _, env := range []string{
+		`{"kind":"report","scenario":{"j":1000,"w":10,"o":10,"util":0.5,"target_eff":1}}`,
+		`{"kind":"report","scenario":{"j":6450,"o":10,"target_eff":0.8,"stations":[{"p":0.0408,"count":4},{"util":0.0215,"count":9},{"p":0.015,"speed":2,"count":2}]}}`,
+	} {
+		path := writeFile(t, "unreachable.json", env)
+		out := captureStdout(t, func() error { return cmdQuery([]string{"-json", path}) })
+		if !strings.Contains(out, `"feasible": false`) {
+			t.Errorf("%s: want a not-feasible verdict, got:\n%s", env, out)
+		}
+		if strings.Contains(out, "min_ratio") || strings.Contains(out, "min_job_demand") {
+			t.Errorf("%s: an unreachable target must carry no prescription, got:\n%s", env, out)
+		}
+	}
+}
+
 // TestCmdQueryBatchGolden answers the checked-in envelope array with the
 // deterministic analytic backend and compares the rendered text against the
 // golden file. Regenerate with:

@@ -20,16 +20,17 @@ import (
 // Stream is a deterministic pseudo-random stream (PCG-backed).
 // A Stream is not safe for concurrent use; Split child streams instead.
 type Stream struct {
-	r    *rand.Rand
+	pcg  rand.PCG  // the state; Float64 and Uint64 read it directly
+	r    rand.Rand // reads pcg, for the derived draws (IntN, Perm)
 	seed uint64
 }
 
 // NewStream returns a stream seeded from the given root seed.
 func NewStream(seed uint64) *Stream {
-	return &Stream{
-		r:    rand.New(rand.NewPCG(splitmix(seed), splitmix(seed^0x9e3779b97f4a7c15))),
-		seed: seed,
-	}
+	s := &Stream{seed: seed}
+	s.pcg.Seed(splitmix(seed), splitmix(seed^0x9e3779b97f4a7c15))
+	s.r = *rand.New(&s.pcg) // one allocation for the whole stream
+	return s
 }
 
 // Split derives the i-th independent child stream. Children with distinct
@@ -42,11 +43,12 @@ func (s *Stream) Split(i uint64) *Stream {
 // Seed reports the seed this stream was created with.
 func (s *Stream) Seed() uint64 { return s.seed }
 
-// Float64 returns a uniform variate in [0, 1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+// Float64 returns a uniform variate in [0, 1): the same bits as
+// rand.Rand.Float64, without the Source interface call.
+func (s *Stream) Float64() float64 { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // Uint64 returns a uniform 64-bit value.
-func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
+func (s *Stream) Uint64() uint64 { return s.pcg.Uint64() }
 
 // IntN returns a uniform int in [0, n).
 func (s *Stream) IntN(n int) int { return s.r.IntN(n) }

@@ -236,6 +236,37 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// unreachableTargetEnvelopes are reports whose target_eff no task ratio
+// reaches, one homogeneous and one fleet: the verdict is "not feasible"
+// with no prescription.
+var unreachableTargetEnvelopes = []string{
+	`{"kind":"report","scenario":{"j":1000,"w":10,"o":10,"util":0.5,"target_eff":1}}`,
+	`{"kind":"report","scenario":{"j":6450,"o":10,"target_eff":0.8,"stations":[{"p":0.0408,"count":4},{"util":0.0215,"count":9},{"p":0.015,"speed":2,"count":2}]}}`,
+}
+
+// TestQueryUnreachableTarget: an unreachable target answers 200 with
+// feasible: false and no min_ratio / min_job_demand (its +Inf job demand
+// used to fail the JSON encode with a 500).
+func TestQueryUnreachableTarget(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	for _, env := range unreachableTargetEnvelopes {
+		status, payload := post(t, ts.URL+"/v1/query", env)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", env, status, payload)
+		}
+		answer, _ := payload["answer"].(map[string]any)
+		report, _ := answer["report"].(map[string]any)
+		if report["feasible"] != false {
+			t.Errorf("%s: feasible = %v, want false", env, report["feasible"])
+		}
+		for _, key := range []string{"min_ratio", "min_job_demand"} {
+			if v, ok := report[key]; ok {
+				t.Errorf("%s: %s = %v, want it omitted", env, key, v)
+			}
+		}
+	}
+}
+
 // TestQueryDeadline: a solve that outlives the per-request timeout is 504.
 func TestQueryDeadline(t *testing.T) {
 	g := &gatedSolver{name: "gated", release: make(chan struct{})} // never released

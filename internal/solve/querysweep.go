@@ -60,7 +60,8 @@ func applyScenarioAxes(sc Scenario, ax axisPoint) (Scenario, error) {
 			// (sc.O == 0), so ratio·O·W would silently expand to J = 0 grids.
 			return sc, fmt.Errorf("solve: the task_ratio axis does not apply to explicit-station scenarios (owner demand is per station, not aggregate)")
 		}
-		sc.J = ax.ratio * sc.O * float64(sc.W)
+		// A model-form fleet may leave w to its station counts.
+		sc.J = ax.ratio * sc.O * float64(sc.StationCount())
 	}
 	if ax.cv2 >= 0 {
 		sc.OwnerCV2 = ax.cv2

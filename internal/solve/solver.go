@@ -3,6 +3,7 @@ package solve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -82,7 +83,7 @@ type Report struct {
 	Feasible *bool `json:"feasible,omitempty"`
 	// MinRatio and MinJobDemand are the analytic backend's prescription for
 	// an infeasible point: the threshold task ratio and the job demand that
-	// reaches it.
+	// reaches it. Both are absent when no task ratio reaches the target.
 	MinRatio     int     `json:"min_ratio,omitempty"`
 	MinJobDemand float64 `json:"min_job_demand,omitempty"`
 
@@ -91,6 +92,16 @@ type Report struct {
 	DeadlineProb *float64 `json:"deadline_prob,omitempty"`
 
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
+}
+
+// setVerdict records a feasibility verdict and its prescription. core
+// reports an unreachable target as MinJobDemand = +Inf, which JSON cannot
+// encode, so such a verdict carries no prescription at all.
+func (r *Report) setVerdict(feasible bool, minRatio int, minJobDemand float64) {
+	r.Feasible = &feasible
+	if !math.IsInf(minJobDemand, 1) {
+		r.MinRatio, r.MinJobDemand = minRatio, minJobDemand
+	}
 }
 
 // Solver answers typed queries. Implementations must honor ctx: a cancelled
@@ -283,9 +294,7 @@ func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		r.Feasible = &v.Feasible
-		r.MinRatio = v.MinRatio
-		r.MinJobDemand = v.MinJobDemand
+		r.setVerdict(v.Feasible, v.MinRatio, v.MinJobDemand)
 	}
 	if s.Deadline > 0 {
 		prob, err := core.DeadlineProb(p, s.Deadline)
@@ -326,9 +335,7 @@ func (Analytic) fleetReport(s Scenario) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		r.Feasible = &v.Feasible
-		r.MinRatio = v.MinRatio
-		r.MinJobDemand = v.MinJobDemand
+		r.setVerdict(v.Feasible, v.MinRatio, v.MinJobDemand)
 	}
 	if s.Deadline > 0 {
 		prob, err := core.FleetDeadlineProb(f, s.Deadline)

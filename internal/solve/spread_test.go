@@ -264,9 +264,9 @@ func TestSpreadSpecJSONRoundTrip(t *testing.T) {
 	}
 
 	fs := FrontierSpec{
-		Base: spreadBase(),
-		X:    FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6},
-		Y:    FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40},
+		Base:   spreadBase(),
+		X:      FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6},
+		Y:      FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40},
 		Coarse: 2, Depth: 2,
 	}
 	if err := fs.Validate(); err != nil {
@@ -279,5 +279,58 @@ func TestSpreadSpecJSONRoundTrip(t *testing.T) {
 	}
 	if math.IsNaN(fs.X.value(8, 16)) {
 		t.Error("axis value interpolation broke")
+	}
+}
+
+// TestTaskRatioAxisFleetWithoutW: a task_ratio axis over a model-form fleet
+// that leaves w to its station counts expands J over the fleet's total
+// station count, so the sweep and the frontier answer exactly as they do
+// with w given explicitly.
+func TestTaskRatioAxisFleetWithoutW(t *testing.T) {
+	ctx := context.Background()
+	explicit := spreadBase()
+	implicit := spreadBase()
+	implicit.Scenario.W = 0
+
+	sweep := func(base ReportQuery) []QueryResult {
+		res, err := CollectQueries(ctx, QuerySweepSpec{Base: base, TaskRatio: []float64{2, 8, 30}, Spread: []float64{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := sweep(implicit), sweep(explicit)
+	for i := range want {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("point %d: implicit w err %v, explicit w err %v", i, got[i].Err, want[i].Err)
+		}
+		g, w := got[i].Answer.(ReportAnswer).Report, want[i].Answer.(ReportAnswer).Report
+		if g.Scenario.J != w.Scenario.J {
+			t.Errorf("point %d: j = %v without w, %v with w", i, g.Scenario.J, w.Scenario.J)
+		}
+		g.Scenario, w.Scenario, g.Elapsed, w.Elapsed = Scenario{}, Scenario{}, 0, 0
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("point %d: report without w %+v, with w %+v", i, g, w)
+		}
+	}
+
+	frontier := func(base ReportQuery) FrontierResult {
+		res, err := CollectFrontier(ctx, FrontierSpec{
+			Base:   base,
+			X:      FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6},
+			Y:      FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40},
+			Coarse: 2, Depth: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fg, fw := frontier(implicit), frontier(explicit)
+	if len(boundarySet(t, fg.Cells)) == 0 {
+		t.Fatal("fixture's boundary does not cross the searched window")
+	}
+	if !reflect.DeepEqual(fg, fw) {
+		t.Errorf("frontier without w differs from the frontier with w:\n%+v\n%+v", fg, fw)
 	}
 }
